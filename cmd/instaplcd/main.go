@@ -184,7 +184,9 @@ func buildHarness(cfg instaplc.ExperimentConfig, resumePath string, tel *cli.Tel
 			return nil, err
 		}
 		defer f.Close()
-		return instaplc.RestoreWithCollector(f, tel.Tracer, tel.Registry, tel.Collector)
+		return instaplc.Restore(f, func(c *instaplc.ExperimentConfig) {
+			c.Trace, c.Metrics, c.Collector = tel.Tracer, tel.Registry, tel.Collector
+		})
 	}
 	return instaplc.NewHarness(cfg), nil
 }

@@ -160,9 +160,10 @@ func runCampus(cfg core.CampusConfig, resumePath, ckptPath string, tel *cli.Tele
 			fmt.Fprintf(stderr, "topobench: -resume: %v\n", oerr)
 			return 2
 		}
-		h, err = core.RestoreCampusWith(f, cfg.Workers, func(c *core.CampusConfig) {
+		h, err = core.RestoreCampus(f, func(c *core.CampusConfig) {
 			// Checkpoints carry only the scenario; re-arm this run's
-			// observational knobs on the restored harness.
+			// execution and observational knobs on the restored harness.
+			c.Workers = cfg.Workers
 			c.Profile = cfg.Profile
 			c.Trace = cfg.Trace
 			c.Metrics = cfg.Metrics

@@ -184,6 +184,59 @@ func ReadHarness(r io.Reader, wantKind string) (config []byte, at int64, digest 
 	return config, at, digest, nil
 }
 
+// Sum returns h's state digest at its current instant.
+func Sum(h interface{ FoldState(*Digest) }) uint64 {
+	d := NewDigest()
+	h.FoldState(d)
+	return d.Sum()
+}
+
+// Save writes a harness checkpoint of kind: cfg, serialized by encode,
+// as the config section, and the instant at with h's state digest there
+// as the progress section.
+func Save[C any, T ~int64](w io.Writer, kind string, cfg C, encode func(*Encoder, C), at T, h interface{ FoldState(*Digest) }) error {
+	e := NewEncoder()
+	encode(e, cfg)
+	return WriteHarness(w, kind, e.Data(), int64(at), Sum(h))
+}
+
+// Restore is the replay-anchored restore every resumable harness shares.
+// It reads a harness checkpoint of kind, decodes its configuration,
+// lets attach set the observational fields a checkpoint never records
+// (tracer, registry, collector, worker count — nil attaches nothing),
+// builds the harness, replays it to the recorded instant and compares
+// its state digest with the recorded one. A mismatch returns
+// *DivergenceError. Because the replay starts at time zero, freshly
+// attached observers see the original run's full timeline. attach must
+// not touch scenario fields: the replay would diverge and fail loudly.
+func Restore[C any, T ~int64, H interface {
+	FoldState(*Digest)
+	AdvanceTo(T)
+}](r io.Reader, kind string, decode func(*Decoder) C, attach func(*C), build func(C) (H, error)) (H, error) {
+	var zero H
+	raw, at, digest, err := ReadHarness(r, kind)
+	if err != nil {
+		return zero, err
+	}
+	d := NewDecoder(raw)
+	cfg := decode(d)
+	if err := d.Err(); err != nil {
+		return zero, fmt.Errorf("%w: %s config: %v", ErrCorrupt, kind, err)
+	}
+	if attach != nil {
+		attach(&cfg)
+	}
+	h, err := build(cfg)
+	if err != nil {
+		return zero, err
+	}
+	h.AdvanceTo(T(at))
+	if got := Sum(h); got != digest {
+		return zero, &DivergenceError{Kind: kind, At: at, Recorded: digest, Replayed: got}
+	}
+	return h, nil
+}
+
 // DivergenceError reports a restore whose replay did not reproduce the
 // recorded state digest — the checkpoint and the current build (or
 // configuration) disagree about what happened before the snapshot.

@@ -3,6 +3,9 @@ package checkpoint
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -195,6 +198,83 @@ func TestDecoderStickyError(t *testing.T) {
 	if d.Err() != first {
 		t.Error("error was replaced")
 	}
+}
+
+// TestDecoderSliceLengthBounded feeds slice decoders a length prefix
+// the payload cannot hold: they must fail as truncated without sizing
+// an allocation from the unchecked count (1M values would be 8 MB).
+func TestDecoderSliceLengthBounded(t *testing.T) {
+	payload := []byte{0x00, 0x00, 0x10, 0x00}
+	for name, read := range map[string]func(*Decoder) int{
+		"F64Slice": func(d *Decoder) int { return len(d.F64Slice()) },
+		"IntSlice": func(d *Decoder) int { return len(d.IntSlice()) },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d := NewDecoder(payload)
+		n := read(d)
+		runtime.ReadMemStats(&after)
+		if n != 0 || d.Err() == nil {
+			t.Errorf("%s over a 4-byte payload: %d values, err %v; want a truncated-payload error", name, n, d.Err())
+		}
+		if delta := after.TotalAlloc - before.TotalAlloc; delta >= 1<<20 {
+			t.Errorf("%s allocated %d bytes for a 4-byte payload", name, delta)
+		}
+	}
+}
+
+// FuzzRead feeds arbitrary bytes through Read, ReadHarness and every
+// Decoder primitive. None may panic, and every Read error must wrap
+// ErrCorrupt or ErrVersion. Seeds are the committed checkpoint files.
+func FuzzRead(f *testing.F) {
+	seeds, err := filepath.Glob(filepath.Join("testdata", "*.ckpt"))
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("no seed checkpoints under testdata: %v", err)
+	}
+	for _, p := range seeds {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if _, err := Read(bytes.NewReader(raw)); err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
+			t.Fatalf("Read error wraps neither ErrCorrupt nor ErrVersion: %v", err)
+		}
+		// ReadHarness may refuse any input for any reason; it must only
+		// not panic.
+		_, _, _, _ = ReadHarness(bytes.NewReader(raw), "instaplc")
+		// The input is its own script: each byte picks the next
+		// primitive, which decodes the bytes after it.
+		d := NewDecoder(raw)
+		for d.Err() == nil {
+			switch d.U8() % 11 {
+			case 0:
+				d.U16()
+			case 1:
+				d.U32()
+			case 2:
+				d.U64()
+			case 3:
+				d.I64()
+			case 4:
+				d.Int()
+			case 5:
+				d.Bool()
+			case 6:
+				d.F64()
+			case 7:
+				d.BytesVal()
+			case 8:
+				d.Str()
+			case 9:
+				d.F64Slice()
+			case 10:
+				d.IntSlice()
+			}
+		}
+	})
 }
 
 func TestDigestDistinguishesFoldShapes(t *testing.T) {

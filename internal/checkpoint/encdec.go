@@ -180,9 +180,21 @@ func (d *Decoder) Str() string {
 	return string(b)
 }
 
+// sliceLen reads the u32 element count of a slice of 8-byte values and
+// rejects a count the unread bytes cannot hold, so a corrupt length
+// fails as a truncated payload before it sizes an allocation.
+func (d *Decoder) sliceLen() int {
+	n := int(d.U32())
+	if d.err == nil && n > d.Remaining()/8 {
+		d.err = fmt.Errorf("checkpoint: truncated payload: %d 8-byte values at offset %d of %d", n, d.off, len(d.buf))
+		return 0
+	}
+	return n
+}
+
 // F64Slice reads a length-prefixed []float64.
 func (d *Decoder) F64Slice() []float64 {
-	n := int(d.U32())
+	n := d.sliceLen()
 	if d.err != nil || n == 0 {
 		return nil
 	}
@@ -198,7 +210,7 @@ func (d *Decoder) F64Slice() []float64 {
 
 // IntSlice reads a length-prefixed []int.
 func (d *Decoder) IntSlice() []int {
-	n := int(d.U32())
+	n := d.sliceLen()
 	if d.err != nil || n == 0 {
 		return nil
 	}

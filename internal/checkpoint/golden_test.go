@@ -23,6 +23,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -35,7 +36,6 @@ import (
 	"steelnet/internal/mrp"
 	"steelnet/internal/reflection"
 	"steelnet/internal/sim"
-	"steelnet/internal/telemetry"
 	"steelnet/internal/topo"
 )
 
@@ -45,15 +45,13 @@ var update = flag.Bool("update", false, "rewrite the golden checkpoint corpus")
 // fixed instant, and restores its committed form.
 type goldenCase struct {
 	name    string
+	kind    string
 	at      sim.Time
 	build   func() resumable
 	restore func(r io.Reader) (resumable, error)
 }
 
 func goldenCases() []goldenCase {
-	nilRestore := func(f func(io.Reader, *telemetry.Tracer, *telemetry.Registry) (resumable, error)) func(io.Reader) (resumable, error) {
-		return func(r io.Reader) (resumable, error) { return f(r, nil, nil) }
-	}
 	reflCfg := reflection.DefaultConfig()
 	reflCfg.Cycles = 40
 	mrpCfg := mrp.DefaultRingExperimentConfig()
@@ -75,47 +73,43 @@ func goldenCases() []goldenCase {
 	}
 	return []goldenCase{
 		{
-			name:  "instaplc",
-			at:    sim.Time(200 * sim.Millisecond),
-			build: func() resumable { return instaplc.NewHarness(smallInstaplcConfig()) },
-			restore: nilRestore(func(r io.Reader, tr *telemetry.Tracer, reg *telemetry.Registry) (resumable, error) {
-				return instaplc.Restore(r, tr, reg)
-			}),
+			name:    "instaplc",
+			kind:    instaplc.CheckpointKind,
+			at:      sim.Time(200 * sim.Millisecond),
+			build:   func() resumable { return instaplc.NewHarness(smallInstaplcConfig()) },
+			restore: func(r io.Reader) (resumable, error) { return instaplc.Restore(r, nil) },
 		},
 		{
-			name:  "reflection",
-			at:    sim.Time(30 * sim.Millisecond),
-			build: func() resumable { return reflection.NewHarness(reflCfg, reflection.NewBase()) },
-			restore: nilRestore(func(r io.Reader, tr *telemetry.Tracer, reg *telemetry.Registry) (resumable, error) {
-				return reflection.Restore(r, tr, reg)
-			}),
+			name:    "reflection",
+			kind:    reflection.CheckpointKind,
+			at:      sim.Time(30 * sim.Millisecond),
+			build:   func() resumable { return reflection.NewHarness(reflCfg, reflection.NewBase()) },
+			restore: func(r io.Reader) (resumable, error) { return reflection.Restore(r, nil) },
 		},
 		{
-			name:  "mrp",
-			at:    sim.Time(300 * sim.Millisecond),
-			build: func() resumable { return mrp.NewHarness(mrpCfg) },
-			restore: nilRestore(func(r io.Reader, tr *telemetry.Tracer, reg *telemetry.Registry) (resumable, error) {
-				return mrp.Restore(r, tr, reg)
-			}),
+			name:    "mrp",
+			kind:    mrp.CheckpointKind,
+			at:      sim.Time(300 * sim.Millisecond),
+			build:   func() resumable { return mrp.NewHarness(mrpCfg) },
+			restore: func(r io.Reader) (resumable, error) { return mrp.Restore(r, nil) },
 		},
 		{
-			name:  "mltopo",
-			at:    sim.Time(100 * sim.Millisecond),
-			build: func() resumable { return mltopo.NewHarness(mlSc) },
-			restore: nilRestore(func(r io.Reader, tr *telemetry.Tracer, reg *telemetry.Registry) (resumable, error) {
-				return mltopo.Restore(r, tr, reg)
-			}),
+			name:    "mltopo",
+			kind:    mltopo.CheckpointKind,
+			at:      sim.Time(100 * sim.Millisecond),
+			build:   func() resumable { return mltopo.NewHarness(mlSc) },
+			restore: func(r io.Reader) (resumable, error) { return mltopo.Restore(r, nil) },
 		},
 		{
-			name:  "chaos",
-			at:    sim.Time(200 * sim.Millisecond),
-			build: func() resumable { return core.NewChaosCellHarness(chaosCfg, 7) },
-			restore: nilRestore(func(r io.Reader, tr *telemetry.Tracer, reg *telemetry.Registry) (resumable, error) {
-				return instaplc.Restore(r, tr, reg)
-			}),
+			name:    "chaos",
+			kind:    instaplc.CheckpointKind,
+			at:      sim.Time(200 * sim.Millisecond),
+			build:   func() resumable { return core.NewChaosCellHarness(chaosCfg, 7) },
+			restore: func(r io.Reader) (resumable, error) { return instaplc.Restore(r, nil) },
 		},
 		{
 			name: "campus",
+			kind: core.CampusCheckpointKind,
 			at:   sim.Time(700 * sim.Microsecond),
 			build: func() resumable {
 				h, err := core.NewCampusHarness(campusCfg)
@@ -125,7 +119,7 @@ func goldenCases() []goldenCase {
 				return h
 			},
 			restore: func(r io.Reader) (resumable, error) {
-				return core.RestoreCampus(r, 2)
+				return core.RestoreCampus(r, func(c *core.CampusConfig) { c.Workers = 2 })
 			},
 		},
 	}
@@ -152,7 +146,7 @@ func TestV2FixtureRejected(t *testing.T) {
 			t.Errorf("version error lacks %q guidance:\n%v", want, err)
 		}
 	}
-	if _, err := instaplc.Restore(bytes.NewReader(raw), nil, nil); !errors.Is(err, checkpoint.ErrVersion) {
+	if _, err := instaplc.Restore(bytes.NewReader(raw), nil); !errors.Is(err, checkpoint.ErrVersion) {
 		t.Fatalf("harness restore of v2 file: err = %v, want ErrVersion", err)
 	}
 }
@@ -194,10 +188,35 @@ func TestGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("restoring committed corpus for %q: %v\n%s", c.name, err, goldenMigrationHelp())
 			}
-			if got, wantD := h2.Digest(), h.Digest(); got != wantD {
+			if got, wantD := checkpoint.Sum(h2), checkpoint.Sum(h); got != wantD {
 				t.Fatalf("restored digest %#x, want %#x", got, wantD)
 			}
 		})
+	}
+}
+
+// TestGoldenCrossKind hands every committed golden file to every other
+// kind's Restore, which must refuse it naming both kinds, and a
+// truncated copy to every Restore, which must report ErrCorrupt.
+func TestGoldenCrossKind(t *testing.T) {
+	cases := goldenCases()
+	for _, file := range cases {
+		raw, err := os.ReadFile(goldenPath(file.name))
+		if err != nil {
+			t.Fatalf("missing golden corpus file: %v", err)
+		}
+		for _, c := range cases {
+			if c.kind != file.kind {
+				_, err := c.restore(bytes.NewReader(raw))
+				if err == nil || !strings.Contains(err.Error(), strconv.Quote(file.kind)) ||
+					!strings.Contains(err.Error(), strconv.Quote(c.kind)) {
+					t.Errorf("%s restore of a %s file: err = %v, want one naming both kinds", c.name, file.name, err)
+				}
+			}
+			if _, err := c.restore(bytes.NewReader(raw[:len(raw)/2])); !errors.Is(err, checkpoint.ErrCorrupt) {
+				t.Errorf("%s restore of a truncated %s file: err = %v, want ErrCorrupt", c.name, file.name, err)
+			}
+		}
 	}
 }
 

@@ -35,14 +35,14 @@ import (
 type resumable interface {
 	AdvanceTo(t sim.Time)
 	Horizon() sim.Time
-	Digest() uint64
+	FoldState(d *checkpoint.Digest)
 	Save(w io.Writer) error
 }
 
 // resumeCase builds one harness kind with telemetry attached and knows
 // how to restore it and render its observable output. Harnesses with
 // in-band telemetry set int and take a collector in build/restore (the
-// restore path hands it to RestoreWithCollector so the replayed window
+// restore path attaches it to the decoded config so the replayed window
 // feeds the collector — and the watchdog chained on it — from t=0).
 type resumeCase struct {
 	name    string
@@ -86,7 +86,7 @@ func resumeCases() []resumeCase {
 				return instaplc.NewHarness(cfg)
 			},
 			restore: func(r io.Reader, tr *telemetry.Tracer, reg *telemetry.Registry, coll *intnet.Collector) (resumable, error) {
-				return instaplc.RestoreWithCollector(r, tr, reg, coll)
+				return instaplc.Restore(r, func(c *instaplc.ExperimentConfig) { c.Trace, c.Metrics, c.Collector = tr, reg, coll })
 			},
 			render: func(h resumable) string {
 				res := h.(*instaplc.Harness).Result()
@@ -108,7 +108,7 @@ func resumeCases() []resumeCase {
 				return reflection.NewHarness(cfg, reflection.NewBase())
 			},
 			restore: func(r io.Reader, tr *telemetry.Tracer, reg *telemetry.Registry, coll *intnet.Collector) (resumable, error) {
-				return reflection.RestoreWithCollector(r, tr, reg, coll)
+				return reflection.Restore(r, func(c *reflection.Config) { c.Trace, c.Metrics, c.Collector = tr, reg, coll })
 			},
 			render: func(h resumable) string {
 				res := h.(*reflection.Harness).Result()
@@ -125,7 +125,7 @@ func resumeCases() []resumeCase {
 				return mrp.NewHarness(cfg)
 			},
 			restore: func(r io.Reader, tr *telemetry.Tracer, reg *telemetry.Registry, _ *intnet.Collector) (resumable, error) {
-				return mrp.Restore(r, tr, reg)
+				return mrp.Restore(r, func(c *mrp.RingExperimentConfig) { c.Trace, c.Metrics = tr, reg })
 			},
 			render: func(h resumable) string {
 				return fmt.Sprintf("%+v", h.(*mrp.Harness).Result())
@@ -143,7 +143,7 @@ func resumeCases() []resumeCase {
 				return mltopo.NewHarness(sc)
 			},
 			restore: func(r io.Reader, tr *telemetry.Tracer, reg *telemetry.Registry, coll *intnet.Collector) (resumable, error) {
-				return mltopo.RestoreWithCollector(r, tr, reg, coll)
+				return mltopo.Restore(r, func(c *mltopo.Scenario) { c.Trace, c.Metrics, c.Collector = tr, reg, coll })
 			},
 			render: func(h resumable) string {
 				return fmt.Sprintf("%+v", h.(*mltopo.Harness).Result())
@@ -164,7 +164,7 @@ func resumeCases() []resumeCase {
 				return instaplc.NewHarness(cfg)
 			},
 			restore: func(r io.Reader, tr *telemetry.Tracer, reg *telemetry.Registry, coll *intnet.Collector) (resumable, error) {
-				return instaplc.RestoreWithCollector(r, tr, reg, coll)
+				return instaplc.Restore(r, func(c *instaplc.ExperimentConfig) { c.Trace, c.Metrics, c.Collector = tr, reg, coll })
 			},
 			render: func(h resumable) string {
 				res := h.(*instaplc.Harness).Result()
@@ -264,7 +264,7 @@ func TestResumeEquivalence(t *testing.T) {
 				t.Fatalf("Save at N: %v", err)
 			}
 			a.AdvanceTo(a.Horizon())
-			digestA := a.Digest()
+			digestA := checkpoint.Sum(a)
 			figA, jsonlA, snapA := observe(t, c, a, trA, regA)
 			intA, breachA, recA := renderINT(t, attA)
 
@@ -280,7 +280,7 @@ func TestResumeEquivalence(t *testing.T) {
 				t.Fatalf("Restore: %v", err)
 			}
 			b.AdvanceTo(b.Horizon())
-			if got := b.Digest(); got != digestA {
+			if got := checkpoint.Sum(b); got != digestA {
 				t.Fatalf("state digest diverged after resume: straight %#x, resumed %#x", digestA, got)
 			}
 			figB, jsonlB, snapB := observe(t, c, b, trB, regB)
@@ -340,12 +340,21 @@ func TestRestoreDetectsDivergence(t *testing.T) {
 		t.Fatalf("ReadHarness: %v", err)
 	}
 	var forged bytes.Buffer
-	if err := checkpoint.WriteHarness(&forged, instaplc.CheckpointKind, cfgBytes, at, h.Digest()^1); err != nil {
+	if err := checkpoint.WriteHarness(&forged, instaplc.CheckpointKind, cfgBytes, at, checkpoint.Sum(h)^1); err != nil {
 		t.Fatalf("WriteHarness: %v", err)
 	}
-	_, err = instaplc.Restore(&forged, nil, nil)
+	_, err = instaplc.Restore(&forged, nil)
 	var div *checkpoint.DivergenceError
 	if !errors.As(err, &div) {
 		t.Fatalf("Restore with wrong digest: got %v, want DivergenceError", err)
+	}
+
+	// A config section cut short under a valid trailer is corrupt too.
+	forged.Reset()
+	if err := checkpoint.WriteHarness(&forged, instaplc.CheckpointKind, cfgBytes[:len(cfgBytes)/2], at, checkpoint.Sum(h)); err != nil {
+		t.Fatalf("WriteHarness: %v", err)
+	}
+	if _, err := instaplc.Restore(&forged, nil); !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("Restore with a short config: got %v, want ErrCorrupt", err)
 	}
 }

@@ -236,9 +236,9 @@ func (t *Telemetry) Begin(cmd string) error {
 }
 
 // AdoptCollector swaps in a collector built elsewhere and re-attaches
-// the watchdog to it. Resume paths need it: a restored harness that
-// was not handed the CLI collector (RestoreWithCollector) builds its
-// own, and End must export that one.
+// the watchdog to it. Resume paths need it: a restored harness whose
+// Restore attach hook did not set the CLI collector builds its own,
+// and End must export that one.
 func (t *Telemetry) AdoptCollector(c *intnet.Collector) {
 	if c == nil || c == t.Collector {
 		return

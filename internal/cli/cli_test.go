@@ -259,7 +259,7 @@ func TestEndWritesINTArtifacts(t *testing.T) {
 }
 
 // AdoptCollector re-points the watchdog at a collector built elsewhere
-// (the resume path's RestoreWithCollector shape).
+// (a restored harness that built its own collector).
 func TestAdoptCollectorReattachesWatchdog(t *testing.T) {
 	tel := &Telemetry{SLOSpec: "latency:*<1µs", Out: &strings.Builder{}}
 	if err := tel.Begin("test"); err != nil {

@@ -601,57 +601,18 @@ func (h *CampusHarness) FoldState(d *checkpoint.Digest) {
 	}
 }
 
-// Digest returns the state digest at the current instant.
-func (h *CampusHarness) Digest() uint64 {
-	d := checkpoint.NewDigest()
-	h.FoldState(d)
-	return d.Sum()
-}
-
 // Save writes a replay-anchored checkpoint of the run to w. The worker
 // count is deliberately not encoded: it cannot change the replay.
 func (h *CampusHarness) Save(w io.Writer) error {
-	e := checkpoint.NewEncoder()
-	encodeCampusConfig(e, h.cfg)
-	return checkpoint.WriteHarness(w, CampusCheckpointKind, e.Data(), int64(h.Now()), h.Digest())
+	return checkpoint.Save(w, CampusCheckpointKind, h.cfg, encodeCampusConfig, h.Now(), h)
 }
 
-// RestoreCampus reads a campus checkpoint, rebuilds the scenario from
-// its recorded configuration, and replays deterministically to the
-// checkpointed instant with the given worker count. A digest mismatch
-// returns *checkpoint.DivergenceError.
-func RestoreCampus(r io.Reader, workers int) (*CampusHarness, error) {
-	return RestoreCampusWith(r, workers, nil)
-}
-
-// RestoreCampusWith is RestoreCampus with a hook to set the restored
-// configuration's observational knobs (Profile, Trace, Metrics) before
-// the rebuild — they are not encoded in checkpoints, so a resumed run
-// re-enables them here. mutate must not touch scenario fields: the
-// replay would diverge from the recorded digest and fail loudly.
-func RestoreCampusWith(r io.Reader, workers int, mutate func(*CampusConfig)) (*CampusHarness, error) {
-	cfgBytes, at, digest, err := checkpoint.ReadHarness(r, CampusCheckpointKind)
-	if err != nil {
-		return nil, err
-	}
-	d := checkpoint.NewDecoder(cfgBytes)
-	cfg := decodeCampusConfig(d)
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("core: bad campus checkpoint config: %w", err)
-	}
-	cfg.Workers = workers
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	h, err := NewCampusHarness(cfg)
-	if err != nil {
-		return nil, err
-	}
-	h.AdvanceTo(sim.Time(at))
-	if got := h.Digest(); got != digest {
-		return nil, &checkpoint.DivergenceError{Kind: CampusCheckpointKind, At: at, Recorded: digest, Replayed: got}
-	}
-	return h, nil
+// RestoreCampus rebuilds a campus run from a checkpoint written by Save
+// and replays it to the checkpointed instant (see checkpoint.Restore).
+// attach sets the execution and observational knobs checkpoints omit —
+// Workers, Profile, Trace, Metrics — on the decoded configuration.
+func RestoreCampus(r io.Reader, attach func(*CampusConfig)) (*CampusHarness, error) {
+	return checkpoint.Restore(r, CampusCheckpointKind, decodeCampusConfig, attach, NewCampusHarness)
 }
 
 func encodeLinkSpec(e *checkpoint.Encoder, s topo.LinkSpec) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"steelnet/internal/checkpoint"
 	"strings"
 	"testing"
 
@@ -147,7 +148,7 @@ func TestCampusMergedTraceWorkerInvariant(t *testing.T) {
 func TestCampusObservabilityIsObservational(t *testing.T) {
 	bare, _ := runCampus(t, 2)
 	h := runObservedCampus(t, 2)
-	if got, want := h.Digest(), bare.Digest(); got != want {
+	if got, want := checkpoint.Sum(h), checkpoint.Sum(bare); got != want {
 		t.Fatalf("observed digest %#x != bare %#x", got, want)
 	}
 	if h.ShardProfile().PerShard == nil {
@@ -269,11 +270,11 @@ func TestRenderCampusFellBackNote(t *testing.T) {
 }
 
 // TestCampusResumeReenablesObservability: checkpoints never carry the
-// observational knobs; RestoreCampusWith's hook re-arms them and the
+// observational knobs; RestoreCampus's attach hook re-arms them and the
 // replayed run still matches the recorded digest.
 func TestCampusResumeReenablesObservability(t *testing.T) {
 	straight, _ := runCampus(t, 2)
-	want := straight.Digest()
+	want := checkpoint.Sum(straight)
 
 	h, err := NewCampusHarness(testCampusConfig(1))
 	if err != nil {
@@ -284,7 +285,8 @@ func TestCampusResumeReenablesObservability(t *testing.T) {
 	if err := h.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreCampusWith(bytes.NewReader(buf.Bytes()), 2, func(c *CampusConfig) {
+	restored, err := RestoreCampus(bytes.NewReader(buf.Bytes()), func(c *CampusConfig) {
+		c.Workers = 2
 		c.Profile = true
 		c.Trace = true
 	})
@@ -292,7 +294,7 @@ func TestCampusResumeReenablesObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored.Run()
-	if got := restored.Digest(); got != want {
+	if got := checkpoint.Sum(restored); got != want {
 		t.Fatalf("observed resume digest %#x != straight %#x", got, want)
 	}
 	if restored.ShardProfile().PerShard == nil {

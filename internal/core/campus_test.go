@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"steelnet/internal/checkpoint"
 	"testing"
 
 	"steelnet/internal/sim"
@@ -39,7 +40,7 @@ func runCampus(t *testing.T, workers int) (*CampusHarness, CampusResult) {
 
 func TestCampusDeterministicAcrossWorkers(t *testing.T) {
 	ref, refRes := runCampus(t, 1)
-	refDigest := ref.Digest()
+	refDigest := checkpoint.Sum(ref)
 	if refRes.FellBack {
 		t.Fatal("default campus fell back to serial; backbone lookahead lost")
 	}
@@ -65,7 +66,7 @@ func TestCampusDeterministicAcrossWorkers(t *testing.T) {
 	}
 	for _, workers := range []int{2, 4, 8} {
 		h, res := runCampus(t, workers)
-		if got := h.Digest(); got != refDigest {
+		if got := checkpoint.Sum(h); got != refDigest {
 			t.Fatalf("workers=%d digest %#x != serial %#x", workers, got, refDigest)
 		}
 		if res.Breaches != refRes.Breaches || res.INTObservations != refRes.INTObservations {
@@ -126,7 +127,7 @@ func TestCampusConservationAtCuts(t *testing.T) {
 // worker count ends byte-identical to the straight run.
 func TestCampusCheckpointResume(t *testing.T) {
 	straight, _ := runCampus(t, 2)
-	want := straight.Digest()
+	want := checkpoint.Sum(straight)
 
 	h, err := NewCampusHarness(testCampusConfig(1))
 	if err != nil {
@@ -139,7 +140,7 @@ func TestCampusCheckpointResume(t *testing.T) {
 	if err := h.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreCampus(bytes.NewReader(buf.Bytes()), 4)
+	restored, err := RestoreCampus(bytes.NewReader(buf.Bytes()), func(c *CampusConfig) { c.Workers = 4 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestCampusCheckpointResume(t *testing.T) {
 		t.Fatalf("restored clock %v, want 777777", restored.Now())
 	}
 	restored.Run()
-	if got := restored.Digest(); got != want {
+	if got := checkpoint.Sum(restored); got != want {
 		t.Fatalf("resumed digest %#x != straight run %#x", got, want)
 	}
 	res := restored.Result()

@@ -317,7 +317,9 @@ func RestoreHeadless(r io.Reader, cfg HeadlessConfig) (*Headless, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := instaplc.RestoreWithCollector(r, d.tracer, d.reg, d.coll)
+	h, err := instaplc.Restore(r, func(c *instaplc.ExperimentConfig) {
+		c.Trace, c.Metrics, c.Collector = d.tracer, d.reg, d.coll
+	})
 	if err != nil {
 		return nil, err
 	}

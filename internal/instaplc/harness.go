@@ -225,55 +225,20 @@ func (h *Harness) FoldState(d *checkpoint.Digest) {
 	}
 }
 
-// Digest returns the state digest at the current instant.
-func (h *Harness) Digest() uint64 {
-	d := checkpoint.NewDigest()
-	h.FoldState(d)
-	return d.Sum()
-}
-
 // Save writes a replay-anchored checkpoint of the run to w.
 func (h *Harness) Save(w io.Writer) error {
-	e := checkpoint.NewEncoder()
-	encodeExperimentConfig(e, h.cfg)
-	return checkpoint.WriteHarness(w, CheckpointKind, e.Data(), int64(h.engine.Now()), h.Digest())
+	return checkpoint.Save(w, CheckpointKind, h.cfg, encodeExperimentConfig, h.engine.Now(), h)
 }
 
-// Restore reads a checkpoint, rebuilds the scenario from its recorded
-// configuration with the given telemetry attachments, and replays
-// deterministically to the checkpointed instant. A digest mismatch
-// returns *checkpoint.DivergenceError. Because the restore replays
-// from time zero, a freshly attached tracer or registry reproduces the
-// original run's full timeline.
-func Restore(r io.Reader, tracer *telemetry.Tracer, registry *telemetry.Registry) (*Harness, error) {
-	return RestoreWithCollector(r, tracer, registry, nil)
-}
-
-// RestoreWithCollector is Restore with an INT collector attachment:
-// when the checkpointed config has INT enabled and coll is non-nil, the
-// replay feeds coll (and anything chained on its OnSink — the SLO
-// watchdog) instead of a private collector, so observation-driven state
-// is rebuilt exactly as a straight run would have built it. coll must
-// be empty; replay repopulates it from instant zero.
-func RestoreWithCollector(r io.Reader, tracer *telemetry.Tracer, registry *telemetry.Registry, coll *intnet.Collector) (*Harness, error) {
-	cfgBytes, at, digest, err := checkpoint.ReadHarness(r, CheckpointKind)
-	if err != nil {
-		return nil, err
-	}
-	d := checkpoint.NewDecoder(cfgBytes)
-	cfg := decodeExperimentConfig(d)
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("instaplc: bad checkpoint config: %w", err)
-	}
-	cfg.Trace = tracer
-	cfg.Metrics = registry
-	cfg.Collector = coll
-	h := NewHarness(cfg)
-	h.AdvanceTo(sim.Time(at))
-	if got := h.Digest(); got != digest {
-		return nil, &checkpoint.DivergenceError{Kind: CheckpointKind, At: at, Recorded: digest, Replayed: got}
-	}
-	return h, nil
+// Restore rebuilds a run from a checkpoint written by Save and replays
+// it to the checkpointed instant (see checkpoint.Restore). attach sets
+// the observational fields — Trace, Metrics and Collector — on the
+// decoded configuration. A Collector must be empty: the replay
+// repopulates it, and anything chained on its OnSink (the SLO
+// watchdog), from instant zero.
+func Restore(r io.Reader, attach func(*ExperimentConfig)) (*Harness, error) {
+	return checkpoint.Restore(r, CheckpointKind, decodeExperimentConfig, attach,
+		func(cfg ExperimentConfig) (*Harness, error) { return NewHarness(cfg), nil })
 }
 
 // encodeExperimentConfig serializes the replayable configuration

@@ -11,7 +11,6 @@ import (
 	"steelnet/internal/mlwork"
 	"steelnet/internal/sim"
 	"steelnet/internal/sweep"
-	"steelnet/internal/telemetry"
 )
 
 // CheckpointKind tags this experiment's checkpoint files.
@@ -114,50 +113,17 @@ func (h *Harness) FoldState(d *checkpoint.Digest) {
 	}
 }
 
-// Digest returns the state digest at the current instant.
-func (h *Harness) Digest() uint64 {
-	d := checkpoint.NewDigest()
-	h.FoldState(d)
-	return d.Sum()
-}
-
 // Save writes a replay-anchored checkpoint of the cell to w.
 func (h *Harness) Save(w io.Writer) error {
-	e := checkpoint.NewEncoder()
-	encodeScenario(e, h.sc)
-	return checkpoint.WriteHarness(w, CheckpointKind, e.Data(), int64(h.b.engine.Now()), h.Digest())
+	return checkpoint.Save(w, CheckpointKind, h.sc, encodeScenario, h.b.engine.Now(), h)
 }
 
-// Restore reads a checkpoint, rebuilds the cell and replays to the
-// checkpointed instant, verifying the state digest.
-func Restore(r io.Reader, tracer *telemetry.Tracer, registry *telemetry.Registry) (*Harness, error) {
-	return RestoreWithCollector(r, tracer, registry, nil)
-}
-
-// RestoreWithCollector is Restore with an INT collector attachment:
-// when the checkpointed scenario has INT enabled and coll is non-nil,
-// the replay feeds coll (and anything chained on its OnSink — the SLO
-// watchdog) instead of a private collector. coll must be empty; replay
-// repopulates it from instant zero.
-func RestoreWithCollector(r io.Reader, tracer *telemetry.Tracer, registry *telemetry.Registry, coll *intnet.Collector) (*Harness, error) {
-	cfgBytes, at, digest, err := checkpoint.ReadHarness(r, CheckpointKind)
-	if err != nil {
-		return nil, err
-	}
-	d := checkpoint.NewDecoder(cfgBytes)
-	sc := decodeScenario(d)
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("mltopo: bad checkpoint config: %w", err)
-	}
-	sc.Trace = tracer
-	sc.Metrics = registry
-	sc.Collector = coll
-	h := NewHarness(sc)
-	h.AdvanceTo(sim.Time(at))
-	if got := h.Digest(); got != digest {
-		return nil, &checkpoint.DivergenceError{Kind: CheckpointKind, At: at, Recorded: digest, Replayed: got}
-	}
-	return h, nil
+// Restore rebuilds a cell from a checkpoint written by Save and replays
+// it to the checkpointed instant (see checkpoint.Restore). attach sets
+// Trace, Metrics and an empty Collector on the decoded scenario.
+func Restore(r io.Reader, attach func(*Scenario)) (*Harness, error) {
+	return checkpoint.Restore(r, CheckpointKind, decodeScenario, attach,
+		func(sc Scenario) (*Harness, error) { return NewHarness(sc), nil })
 }
 
 // figure6Checkpointer persists completed Fig. 6 cells for resumable

@@ -197,40 +197,17 @@ func (h *Harness) FoldState(d *checkpoint.Digest) {
 	d.I64(int64(h.lastCloseAt))
 }
 
-// Digest returns the state digest at the current instant.
-func (h *Harness) Digest() uint64 {
-	d := checkpoint.NewDigest()
-	h.FoldState(d)
-	return d.Sum()
-}
-
 // Save writes a replay-anchored checkpoint of the run to w.
 func (h *Harness) Save(w io.Writer) error {
-	e := checkpoint.NewEncoder()
-	encodeRingConfig(e, h.cfg)
-	return checkpoint.WriteHarness(w, CheckpointKind, e.Data(), int64(h.engine.Now()), h.Digest())
+	return checkpoint.Save(w, CheckpointKind, h.cfg, encodeRingConfig, h.engine.Now(), h)
 }
 
-// Restore reads a checkpoint, rebuilds the scenario and replays to the
-// checkpointed instant, verifying the state digest.
-func Restore(r io.Reader, tracer *telemetry.Tracer, registry *telemetry.Registry) (*Harness, error) {
-	cfgBytes, at, digest, err := checkpoint.ReadHarness(r, CheckpointKind)
-	if err != nil {
-		return nil, err
-	}
-	d := checkpoint.NewDecoder(cfgBytes)
-	cfg := decodeRingConfig(d)
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("mrp: bad checkpoint config: %w", err)
-	}
-	cfg.Trace = tracer
-	cfg.Metrics = registry
-	h := NewHarness(cfg)
-	h.AdvanceTo(sim.Time(at))
-	if got := h.Digest(); got != digest {
-		return nil, &checkpoint.DivergenceError{Kind: CheckpointKind, At: at, Recorded: digest, Replayed: got}
-	}
-	return h, nil
+// Restore rebuilds a run from a checkpoint written by Save and replays
+// it to the checkpointed instant (see checkpoint.Restore). attach sets
+// Trace and Metrics on the decoded configuration.
+func Restore(r io.Reader, attach func(*RingExperimentConfig)) (*Harness, error) {
+	return checkpoint.Restore(r, CheckpointKind, decodeRingConfig, attach,
+		func(cfg RingExperimentConfig) (*Harness, error) { return NewHarness(cfg), nil })
 }
 
 func encodeRingConfig(e *checkpoint.Encoder, cfg RingExperimentConfig) {

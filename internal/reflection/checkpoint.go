@@ -163,13 +163,6 @@ func (h *Harness) FoldState(d *checkpoint.Digest) {
 	}
 }
 
-// Digest returns the state digest at the current instant.
-func (h *Harness) Digest() uint64 {
-	d := checkpoint.NewDigest()
-	h.FoldState(d)
-	return d.Sum()
-}
-
 // Save writes a replay-anchored checkpoint of the cell to w. Save
 // before Result: a finalized cell has drained its flows and is not a
 // resumable state.
@@ -177,48 +170,44 @@ func (h *Harness) Save(w io.Writer) error {
 	if h.finished {
 		return fmt.Errorf("reflection: cannot checkpoint a finalized harness")
 	}
-	e := checkpoint.NewEncoder()
-	encodeConfig(e, h.cfg)
-	e.Str(h.variant.Name)
-	return checkpoint.WriteHarness(w, CheckpointKind, e.Data(), int64(h.engine.Now()), h.Digest())
+	return checkpoint.Save(w, CheckpointKind, cell{h.cfg, h.variant.Name}, encodeCell, h.engine.Now(), h)
 }
 
-// Restore reads a checkpoint, rebuilds the cell (the variant is rebuilt
-// by name from the registry) and replays to the checkpointed instant,
-// verifying the state digest.
-func Restore(r io.Reader, tracer *telemetry.Tracer, registry *telemetry.Registry) (*Harness, error) {
-	return RestoreWithCollector(r, tracer, registry, nil)
+// Restore rebuilds a cell from a checkpoint written by Save — the
+// variant by name through NewVariant — and replays it to the
+// checkpointed instant (see checkpoint.Restore). attach sets Trace,
+// Metrics and an empty Collector on the decoded configuration.
+func Restore(r io.Reader, attach func(*Config)) (*Harness, error) {
+	return checkpoint.Restore(r, CheckpointKind, decodeCell,
+		func(c *cell) {
+			if attach != nil {
+				attach(&c.cfg)
+			}
+		},
+		func(c cell) (*Harness, error) {
+			v, err := NewVariant(c.variant)
+			if err != nil {
+				return nil, fmt.Errorf("reflection: checkpoint names unknown variant: %w", err)
+			}
+			return NewHarness(c.cfg, v), nil
+		})
 }
 
-// RestoreWithCollector is Restore with an INT collector attachment:
-// when the checkpointed config has INT enabled and coll is non-nil, the
-// replay feeds coll (and anything chained on its OnSink — the SLO
-// watchdog) instead of a private collector. coll must be empty; replay
-// repopulates it from instant zero.
-func RestoreWithCollector(r io.Reader, tracer *telemetry.Tracer, registry *telemetry.Registry, coll *intnet.Collector) (*Harness, error) {
-	cfgBytes, at, digest, err := checkpoint.ReadHarness(r, CheckpointKind)
-	if err != nil {
-		return nil, err
-	}
-	d := checkpoint.NewDecoder(cfgBytes)
+// cell is what a reflection checkpoint records: the configuration and
+// the variant's registry name.
+type cell struct {
+	cfg     Config
+	variant string
+}
+
+func encodeCell(e *checkpoint.Encoder, c cell) {
+	encodeConfig(e, c.cfg)
+	e.Str(c.variant)
+}
+
+func decodeCell(d *checkpoint.Decoder) cell {
 	cfg := decodeConfig(d)
-	name := d.Str()
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("reflection: bad checkpoint config: %w", err)
-	}
-	v, err := NewVariant(name)
-	if err != nil {
-		return nil, fmt.Errorf("reflection: checkpoint names unknown variant: %w", err)
-	}
-	cfg.Trace = tracer
-	cfg.Metrics = registry
-	cfg.Collector = coll
-	h := NewHarness(cfg, v)
-	h.AdvanceTo(sim.Time(at))
-	if got := h.Digest(); got != digest {
-		return nil, &checkpoint.DivergenceError{Kind: CheckpointKind, At: at, Recorded: digest, Replayed: got}
-	}
-	return h, nil
+	return cell{cfg, d.Str()}
 }
 
 // resultCheckpointer persists completed sweep cells (full delay and
